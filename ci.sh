@@ -30,6 +30,9 @@ step 5m  "cargo fmt --check"                 cargo fmt --all -- --check
 step 15m "cargo clippy -- -D warnings"       cargo clippy --workspace --all-targets -- -D warnings
 step 20m "tier-1: cargo build --release"     cargo build --release
 step 20m "tier-1: cargo test -q"             cargo test -q
+# Tier-1 runs only the root package; the workspace crates' unit tests
+# (store, persist, codecs, proto caps, LU, library eviction, ...) run here.
+step 20m "unit tests: every workspace crate"  cargo test --workspace -q
 step 15m "resilience: fault injection"       cargo test -q --features fault-injection --test fault_injection
 step 15m "batch: byte identity + eviction"   cargo test -q --features fault-injection --test batch_identity
 step 15m "audit: invariants + self-repair"   cargo test -q --features fault-injection --test audit

@@ -1,9 +1,35 @@
-//! Model persistence and the content-addressed characterization cache.
+//! Model persistence: the JSON export, the one binary model container, and
+//! the content-addressed characterization cache.
 //!
 //! Characterization costs thousands of transient analyses; the resulting
-//! [`ProximityModel`] is plain data (tables, thresholds, VTC curves) and is
-//! serialized to JSON so a library can be characterized once and shipped —
-//! the moral equivalent of a `.lib` file in a conventional flow.
+//! [`ProximityModel`] is plain data (tables, thresholds, VTC curves), so a
+//! library can be characterized once and shipped — the moral equivalent of
+//! a `.lib` file in a conventional flow. It is written two ways:
+//!
+//! - **JSON** ([`ProximityModel::to_json`], [`ProximityModel::save`]) is
+//!   the export format: canonical, diffable, hand-inspectable.
+//! - **The container** ([`ProximityModel::to_bytes`]) is what programs
+//!   load: the same serde tree in the `serde_json::binary` rendering
+//!   (floats as raw little-endian bits, float arrays as packed runs),
+//!   wrapped in checksummed sections. A load is read → checksum → binary
+//!   decode → `validate()`, with no text parsing, and is bit-exact.
+//!
+//! ```text
+//! magic  "PXMSTOR2"                     8 bytes
+//! u32    section count                  little-endian, 1..=16
+//! per section:
+//!   u32  section id                     (1 = meta, 2 = model)
+//!   u64  payload length in bytes        at most MAX_SECTION_BYTES
+//!   u64  FNV-1a 64 of the payload
+//!   [u8] payload
+//! ```
+//!
+//! Every model container has a model section. The `proxim-serve` store
+//! adds a meta section (format, name, input count) to each entry; the
+//! cache writes the model section alone. Unknown section ids are skipped
+//! once their checksum passes. A container of another generation (the
+//! retired `PXMSTOR1`, whose model section was JSON) is refused with an
+//! error that names its magic; there is no fallback reader.
 //!
 //! [`ModelCache`] sits on top: it keys stored models by a hash of the cell
 //! topology, the technology, and every result-affecting characterization
@@ -97,6 +123,54 @@ impl ProximityModel {
         })?;
         Self::from_json(&text)
     }
+
+    /// Serializes the model into a container holding its model section
+    /// alone (the layout is in the `persist` module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Persist`] if serialization fails.
+    pub fn to_bytes(&self) -> Result<Vec<u8>, ModelError> {
+        Ok(encode_container(&[(SECTION_MODEL, &self.to_section()?)]))
+    }
+
+    /// Decodes a model from any container that holds a model section —
+    /// [`ProximityModel::to_bytes`] output or a store entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Persist`] when the container or the section
+    /// fails to decode, and [`ModelError::Audit`] when the decoded model
+    /// fails validation.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelError> {
+        let sections = decode_container(bytes)?;
+        Self::from_section(section(&sections, SECTION_MODEL)?)
+    }
+
+    /// The model-section payload: the model's serde tree in the
+    /// `serde_json::binary` rendering.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Persist`] if serialization fails.
+    pub fn to_section(&self) -> Result<Vec<u8>, ModelError> {
+        serde_json::binary::to_vec(self).map_err(persist_err)
+    }
+
+    /// Decodes a model-section payload and validates the model. The
+    /// decoder enforces the JSON parser's limits (nesting depth, finite
+    /// floats, no trailing bytes, counts bounded by the input); `validate()`
+    /// then applies the same structural gate as [`ProximityModel::from_json`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Persist`] on undecodable bytes and
+    /// [`ModelError::Audit`] when the decoded model fails validation.
+    pub fn from_section(payload: &[u8]) -> Result<Self, ModelError> {
+        let model: Self = serde_json::binary::from_slice(payload).map_err(persist_err)?;
+        model.validate()?;
+        Ok(model)
+    }
 }
 
 /// On-disk model format version, part of every cache key. Bump whenever
@@ -105,7 +179,8 @@ impl ProximityModel {
 /// v2: models carry the `degraded` slice provenance list.
 /// v3: cache entries are wrapped in a checksummed envelope and written
 /// atomically (tmp + fsync + rename), so torn entries are detectable.
-const MODEL_FORMAT_VERSION: u32 = 3;
+/// v4: cache entries are binary model containers (`<key>.pxm`).
+const MODEL_FORMAT_VERSION: u32 = 4;
 
 /// Upper bound on accepted model-JSON size. A characterized model is a few
 /// hundred kilobytes; anything near this limit is not one of ours, and
@@ -113,13 +188,32 @@ const MODEL_FORMAT_VERSION: u32 = 3;
 /// before the parser even sees a structural problem.
 pub const MAX_MODEL_JSON_BYTES: usize = 64 * 1024 * 1024;
 
+/// Upper bound on one container section's advertised length, checked
+/// before the payload is touched — the binary counterpart of
+/// [`MAX_MODEL_JSON_BYTES`].
+pub const MAX_SECTION_BYTES: usize = MAX_MODEL_JSON_BYTES;
+
+/// First bytes of every model container.
+pub const CONTAINER_MAGIC: &[u8; 8] = b"PXMSTOR2";
+
+/// File extension of a model container on disk.
+pub const CONTAINER_EXT: &str = "pxm";
+
+/// Section id of the store's metadata section.
+pub const SECTION_META: u32 = 1;
+/// Section id of the model section.
+pub const SECTION_MODEL: u32 = 2;
+
+/// Upper bound on sections per container; ours have one or two, and a
+/// hostile header must not be able to request millions.
+const MAX_SECTIONS: u32 = 16;
+
 /// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms and
 /// runs (unlike `std`'s `DefaultHasher`, whose output is unspecified).
 ///
-/// Public because every checksummed on-disk format in the workspace (cache
-/// envelopes, checkpoint journals, the binary model store in
-/// `proxim-serve`) uses this same function, so readers and writers cannot
-/// drift apart.
+/// Public because every checksummed on-disk format in the workspace (model
+/// containers, checkpoint journals, quarantine names) uses this same
+/// function, so readers and writers cannot drift apart.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -186,48 +280,197 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), ModelError> {
     result
 }
 
-/// First-line magic of a v3 cache entry; the per-entry checksum follows.
-const ENTRY_MAGIC: &str = "#proxim-cache v3 fnv=";
-
-/// Serializes a cache-entry payload: a checksummed header line, then the
-/// model JSON. The checksum covers every byte after the header's newline.
-fn envelope(json: &str) -> String {
-    format!("{ENTRY_MAGIC}{:016x}\n{json}", fnv1a_64(json.as_bytes()))
+/// The file name an [`atomic_write`] temp file was staging, or `None` when
+/// `file` is not one. Temp files are named `.<target>.tmp.<pid>.<seq>`;
+/// this is the one rule every directory owner uses to recognise the debris
+/// a killed writer leaves.
+pub fn atomic_write_target(file: &str) -> Option<&str> {
+    let (target, tail) = file.strip_prefix('.')?.rsplit_once(".tmp.")?;
+    let (pid, seq) = tail.split_once('.')?;
+    let numeric = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    (numeric(pid) && numeric(seq) && !target.is_empty()).then_some(target)
 }
 
-/// Validates an entry envelope and hands back the model JSON within.
-fn open_envelope(text: &str) -> Result<&str, ModelError> {
-    let (header, json) = text
-        .split_once('\n')
-        .ok_or_else(|| persist_err("cache entry has no envelope header"))?;
-    let sum = header
-        .strip_prefix(ENTRY_MAGIC)
-        .ok_or_else(|| persist_err("cache entry is missing the v3 envelope magic"))?;
-    let sum = u64::from_str_radix(sum, 16)
-        .map_err(|_| persist_err("cache entry has a malformed checksum"))?;
-    if fnv1a_64(json.as_bytes()) != sum {
-        return Err(persist_err(
-            "cache entry checksum mismatch (torn or corrupted write)",
-        ));
+/// Why a byte string is not a valid model container. Every variant is a
+/// typed outcome: corrupt bytes become an error the caller can quarantine
+/// on, never a panic.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ContainerError {
+    /// The bytes do not start with a container magic at all.
+    BadMagic,
+    /// A container of another generation, named by its magic (`PXMSTOR1`
+    /// entries carried a JSON model section; there is no reader for them).
+    Unsupported {
+        /// The magic found, e.g. `PXMSTOR1`.
+        format: String,
+    },
+    /// The bytes ended before the advertised structure did — a torn write
+    /// or truncation at rest.
+    Truncated {
+        /// What was being read when the bytes ran out.
+        detail: String,
+    },
+    /// A section's payload does not match its checksum envelope.
+    Checksum {
+        /// The section id whose envelope failed.
+        section: u32,
+    },
+    /// The structure is inconsistent: a section count or length out of
+    /// bounds, a duplicate or missing section, trailing bytes.
+    Malformed {
+        /// What was inconsistent.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for ContainerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::BadMagic => write!(f, "not a model container (bad magic)"),
+            Self::Unsupported { format } => write!(
+                f,
+                "model container format {format} is not supported (expected {})",
+                String::from_utf8_lossy(CONTAINER_MAGIC)
+            ),
+            Self::Truncated { detail } => write!(f, "model container truncated: {detail}"),
+            Self::Checksum { section } => {
+                write!(f, "model container section {section} failed its checksum")
+            }
+            Self::Malformed { detail } => write!(f, "model container malformed: {detail}"),
+        }
     }
-    Ok(json)
 }
 
-/// Writes one cache entry: checksummed envelope, atomic rename.
-fn write_entry_text(path: &Path, json: &str) -> Result<(), ModelError> {
-    atomic_write(path, envelope(json).as_bytes())
+impl std::error::Error for ContainerError {}
+
+impl From<ContainerError> for ModelError {
+    fn from(e: ContainerError) -> Self {
+        persist_err(e)
+    }
 }
 
-/// Reads one cache entry back, verifying the envelope checksum.
-fn read_entry_text(path: &Path) -> Result<String, ModelError> {
-    let text = fs::read_to_string(path).map_err(persist_err)?;
-    open_envelope(&text).map(str::to_owned)
+/// Serializes `(id, payload)` sections into one container.
+pub fn encode_container(sections: &[(u32, &[u8])]) -> Vec<u8> {
+    let len = sections.iter().map(|(_, p)| p.len() + 20).sum::<usize>();
+    let mut out = Vec::with_capacity(len + 12);
+    out.extend_from_slice(CONTAINER_MAGIC);
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (id, payload) in sections {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+fn take<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    n: usize,
+    what: &str,
+) -> Result<&'a [u8], ContainerError> {
+    let end = pos
+        .checked_add(n)
+        .filter(|&e| e <= bytes.len())
+        .ok_or_else(|| ContainerError::Truncated {
+            detail: format!("{what} needs {n} more bytes"),
+        })?;
+    let slice = &bytes[*pos..end];
+    *pos = end;
+    Ok(slice)
+}
+
+fn le_u32(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u32, ContainerError> {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(take(bytes, pos, 4, what)?);
+    Ok(u32::from_le_bytes(w))
+}
+
+fn le_u64(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64, ContainerError> {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(take(bytes, pos, 8, what)?);
+    Ok(u64::from_le_bytes(w))
+}
+
+/// Splits a container into its `(id, payload)` sections, verifying the
+/// magic, the section count and size caps, every checksum, that no id
+/// repeats, and that nothing trails the last section.
+///
+/// # Errors
+///
+/// A typed [`ContainerError`] for every way the bytes can be wrong.
+pub fn decode_container(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, ContainerError> {
+    let mut pos = 0usize;
+    let magic = take(bytes, &mut pos, CONTAINER_MAGIC.len(), "magic")
+        .map_err(|_| ContainerError::BadMagic)?;
+    if magic != CONTAINER_MAGIC {
+        let family = &CONTAINER_MAGIC[..CONTAINER_MAGIC.len() - 1];
+        return Err(if magic.starts_with(family) && magic[7].is_ascii_digit() {
+            ContainerError::Unsupported {
+                format: String::from_utf8_lossy(magic).into_owned(),
+            }
+        } else {
+            ContainerError::BadMagic
+        });
+    }
+    let count = le_u32(bytes, &mut pos, "section count")?;
+    if count == 0 || count > MAX_SECTIONS {
+        return Err(ContainerError::Malformed {
+            detail: format!("section count {count} outside 1..={MAX_SECTIONS}"),
+        });
+    }
+    let mut sections: Vec<(u32, &[u8])> = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let id = le_u32(bytes, &mut pos, "section id")?;
+        let len = le_u64(bytes, &mut pos, "section length")?;
+        if len > MAX_SECTION_BYTES as u64 {
+            return Err(ContainerError::Malformed {
+                detail: format!("section {id} advertises {len} bytes, over the section cap"),
+            });
+        }
+        let sum = le_u64(bytes, &mut pos, "section checksum")?;
+        let payload = take(bytes, &mut pos, len as usize, "section payload")?;
+        if fnv1a_64(payload) != sum {
+            return Err(ContainerError::Checksum { section: id });
+        }
+        if sections.iter().any(|&(seen, _)| seen == id) {
+            return Err(ContainerError::Malformed {
+                detail: format!("duplicate section {id}"),
+            });
+        }
+        sections.push((id, payload));
+    }
+    if pos != bytes.len() {
+        return Err(ContainerError::Malformed {
+            detail: format!(
+                "{} trailing bytes after the last section",
+                bytes.len() - pos
+            ),
+        });
+    }
+    Ok(sections)
+}
+
+/// The payload of section `id`.
+///
+/// # Errors
+///
+/// [`ContainerError::Malformed`] when the container has no such section.
+pub fn section<'a>(sections: &[(u32, &'a [u8])], id: u32) -> Result<&'a [u8], ContainerError> {
+    sections
+        .iter()
+        .find(|&&(s, _)| s == id)
+        .map(|&(_, payload)| payload)
+        .ok_or_else(|| ContainerError::Malformed {
+            detail: format!("missing section {id}"),
+        })
 }
 
 /// A content-addressed on-disk cache of characterized models.
 ///
-/// Each entry is one JSON file named by the hex cache key under the cache
-/// root. The key hashes the serialized cell, the serialized technology, and
+/// Each entry is one model container ([`ProximityModel::to_bytes`]) named
+/// `<key>.pxm` by the hex cache key under the cache root. The key hashes the serialized cell, the serialized technology, and
 /// [`CharacterizeOptions::cache_key_string`] — everything that affects the
 /// characterized result, and nothing that doesn't (the `jobs` worker count
 /// is deliberately excluded, since the pipeline is deterministic in it).
@@ -273,7 +516,7 @@ impl ModelCache {
 
     /// The on-disk path an entry would live at.
     pub fn entry_path(&self, key: u64) -> PathBuf {
-        self.root.join(format!("{key:016x}.json"))
+        self.root.join(format!("{key:016x}.{CONTAINER_EXT}"))
     }
 
     /// The path a corrupt entry with the given content hash is quarantined
@@ -285,8 +528,9 @@ impl ModelCache {
     /// lands in its own file, so no evidence is lost between post-mortems.
     /// (Identical corrupt bytes dedupe onto one file, which loses nothing.)
     pub fn quarantined_path(&self, key: u64, content_hash: u64) -> PathBuf {
-        self.root
-            .join(format!("{key:016x}.json.{content_hash:016x}.quarantined"))
+        self.root.join(format!(
+            "{key:016x}.{CONTAINER_EXT}.{content_hash:016x}.quarantined"
+        ))
     }
 
     /// Characterizes through the cache: a stored model for the same cell,
@@ -295,15 +539,15 @@ impl ModelCache {
     /// stored. `stats` accumulates hit/miss counters and, on a miss, the
     /// characterization telemetry.
     ///
-    /// Entries are stored in a checksummed envelope and written atomically
-    /// (temp file + fsync + rename), so a concurrent writer or a crash
-    /// mid-store can never leave interleaved or truncated JSON at the
-    /// entry path: readers see a complete old entry, a complete new entry,
-    /// or a detectably corrupt one.
+    /// Entries are checksummed containers written atomically (temp file +
+    /// fsync + rename), so a concurrent writer or a crash mid-store can
+    /// never leave interleaved or truncated bytes at the entry path:
+    /// readers see a complete old entry, a complete new entry, or a
+    /// detectably corrupt one.
     ///
-    /// A corrupt (present but unparseable, torn, or checksum-failing)
+    /// A corrupt (present but undecodable, torn, or checksum-failing)
     /// cache entry counts as a miss: it is quarantined aside — renamed to
-    /// `.json.quarantined` for post-mortem, counted in
+    /// `.pxm.<content-hash>.quarantined` for post-mortem, counted in
     /// [`CharStats::cache_quarantined`] — and the model is
     /// re-characterized and stored fresh.
     ///
@@ -350,13 +594,14 @@ impl ModelCache {
     ) -> Result<ProximityModel, ModelError> {
         let key = Self::key(cell, tech, opts)?;
         let path = self.entry_path(key);
-        match read_entry_text(&path).and_then(|json| ProximityModel::from_json(&json)) {
+        let cached = fs::read(&path).map_err(persist_err);
+        match cached.and_then(|bytes| ProximityModel::from_bytes(&bytes)) {
             Ok(model) => {
                 stats.cache_hits += 1;
                 note_cache("hit", metric::CACHE_HITS, key);
                 return Ok(model);
             }
-            // The entry exists but does not parse or fails its checksum:
+            // The entry exists but does not decode or fails its checksum:
             // move it aside (best effort) so the bad bytes survive for
             // inspection and cannot be mistaken for a valid entry again.
             // The event is counted unconditionally — a quarantine whose
@@ -388,13 +633,15 @@ impl ModelCache {
         stats.degraded_slices += run.degraded_slices;
         stats.audit_findings += run.audit_findings;
         fs::create_dir_all(&self.root).map_err(persist_err)?;
-        write_entry_text(&path, &model.to_json()?)?;
+        atomic_write(&path, &model.to_bytes()?)?;
         Ok(model)
     }
 
-    /// Deletes every cache entry (the `*.json` files under the root) and
-    /// every quarantined entry (`*.json.quarantined`). Other files are left
-    /// alone; a missing root is fine.
+    /// Deletes every cache entry (`*.pxm`), every leftover entry of the
+    /// retired v3 text format (`*.json`), every quarantined entry
+    /// (`*.quarantined`), and the atomic-write temp files a killed writer
+    /// left staging any of those. Other files are left alone; a missing
+    /// root is fine.
     ///
     /// # Errors
     ///
@@ -404,14 +651,18 @@ impl ModelCache {
             Ok(e) => e,
             Err(_) => return Ok(()),
         };
+        let cache_file = |file: &str| {
+            Path::new(file)
+                .extension()
+                .is_some_and(|e| e == CONTAINER_EXT || e == "json" || e == "quarantined")
+        };
         for entry in entries.flatten() {
             let p = entry.path();
-            if p.extension()
-                .is_some_and(|e| e == "json" || e == "quarantined")
-            {
-                fs::remove_file(&p).map_err(|e| ModelError::Persist {
-                    detail: e.to_string(),
-                })?;
+            let Some(file) = p.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            if cache_file(file) || atomic_write_target(file).is_some_and(cache_file) {
+                fs::remove_file(&p).map_err(persist_err)?;
             }
         }
         Ok(())
@@ -427,50 +678,170 @@ mod tests {
     use proxim_cells::{Cell, Technology};
     use proxim_numeric::pwl::Edge;
 
-    #[test]
-    fn json_roundtrip_preserves_every_answer() {
-        let tech = Technology::demo_5v();
-        let cell = Cell::nand(2);
+    /// A glitch-enabled fast NAND2: the round-trip subject.
+    fn nand2_glitch() -> ProximityModel {
         let opts = CharacterizeOptions {
             glitch: true,
             ..CharacterizeOptions::fast()
         };
-        let model = ProximityModel::characterize(&cell, &tech, &opts).unwrap();
+        ProximityModel::characterize(&Cell::nand(2), &Technology::demo_5v(), &opts).unwrap()
+    }
 
-        let json = model.to_json().unwrap();
-        let back = ProximityModel::from_json(&json).unwrap();
-
-        assert_eq!(model.thresholds(), back.thresholds());
-        assert_eq!(model.table_entries(), back.table_entries());
+    /// The two-input probes both round-trip tests query: three proximity
+    /// configurations at both input edges.
+    fn probe_events() -> Vec<[InputEvent; 2]> {
+        let mut out = Vec::new();
         for &(s, tau_a, tau_b) in &[
             (0.0, 400e-12, 400e-12),
             (150e-12, 800e-12, 200e-12),
             (-300e-12, 120e-12, 1700e-12),
         ] {
             for edge in [Edge::Rising, Edge::Falling] {
-                let events = [
+                out.push([
                     InputEvent::new(0, edge, 0.0, tau_a),
                     InputEvent::new(1, edge, s, tau_b),
-                ];
-                let a = model.gate_timing(&events).unwrap();
-                let b = back.gate_timing(&events).unwrap();
-                // JSON float parsing may differ in the last ULP.
-                let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * x.abs().max(y.abs());
-                assert!(
-                    close(a.delay, b.delay),
-                    "{edge} s={s}: {} vs {}",
-                    a.delay,
-                    b.delay
-                );
-                assert!(close(a.output_transition, b.output_transition));
-                assert_eq!(a.reference_pin, b.reference_pin);
+                ]);
             }
+        }
+        out
+    }
+
+    #[test]
+    fn json_roundtrip_preserves_every_answer() {
+        let model = nand2_glitch();
+
+        let json = model.to_json().unwrap();
+        let back = ProximityModel::from_json(&json).unwrap();
+
+        assert_eq!(model.thresholds(), back.thresholds());
+        assert_eq!(model.table_entries(), back.table_entries());
+        for events in probe_events() {
+            let a = model.gate_timing(&events).unwrap();
+            let b = back.gate_timing(&events).unwrap();
+            // JSON float parsing may differ in the last ULP.
+            let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * x.abs().max(y.abs());
+            assert!(
+                close(a.delay, b.delay),
+                "{events:?}: {} vs {}",
+                a.delay,
+                b.delay
+            );
+            assert!(close(a.output_transition, b.output_transition));
+            assert_eq!(a.reference_pin, b.reference_pin);
         }
         // Glitch model survives too.
         assert_eq!(
             model.glitch_model(Edge::Rising).is_some(),
             back.glitch_model(Edge::Rising).is_some()
         );
+    }
+
+    #[test]
+    fn container_roundtrip_is_bit_exact() {
+        let model = nand2_glitch();
+
+        // save → load → save through a file is byte-identical.
+        let dir = std::env::temp_dir().join(format!("proxim_container_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("nand2.pxm");
+        let bytes = model.to_bytes().unwrap();
+        atomic_write(&path, &bytes).unwrap();
+        let back = ProximityModel::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(back.to_bytes().unwrap(), bytes);
+        assert_eq!(back.to_json().unwrap(), model.to_json().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Binary floats have no last-ULP excuse: every answer is identical
+        // to the bit.
+        for events in probe_events() {
+            let a = model.gate_timing(&events).unwrap();
+            let b = back.gate_timing(&events).unwrap();
+            assert_eq!(a.delay.to_bits(), b.delay.to_bits(), "{events:?}");
+            assert_eq!(
+                a.output_transition.to_bits(),
+                b.output_transition.to_bits(),
+                "{events:?}"
+            );
+            assert_eq!(a.reference_pin, b.reference_pin);
+        }
+        assert!(back.glitch_model(Edge::Rising).is_some());
+    }
+
+    #[test]
+    fn every_container_corruption_is_a_typed_error() {
+        let tech = Technology::demo_5v();
+        let model = ProximityModel::characterize(&Cell::inv(), &tech, &CharacterizeOptions::fast())
+            .unwrap();
+        let good = model.to_bytes().unwrap();
+        let section = model.to_section().unwrap();
+        let reseal = |payload: &[u8]| encode_container(&[(SECTION_MODEL, payload)]);
+        assert_eq!(reseal(&section), good);
+
+        // Truncation at every byte offset.
+        for cut in 0..good.len() {
+            assert!(matches!(
+                ProximityModel::from_bytes(&good[..cut]),
+                Err(ModelError::Persist { .. })
+            ));
+        }
+
+        // NaN and the infinities inside a float run: the ramp-stretch pair
+        // is a two-float run (tag 9, count 2, raw bits).
+        let [a, b] = model.ramp_stretch;
+        let mut run = vec![9u8];
+        run.extend_from_slice(&2u32.to_le_bytes());
+        run.extend_from_slice(&a.to_le_bytes());
+        run.extend_from_slice(&b.to_le_bytes());
+        let at = section
+            .windows(run.len())
+            .position(|w| w == run.as_slice())
+            .expect("ramp_stretch is one float run");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = section.clone();
+            poisoned[at + 5 + 8..at + run.len()].copy_from_slice(&bad.to_le_bytes());
+            let e = ProximityModel::from_bytes(&reseal(&poisoned)).unwrap_err();
+            assert!(matches!(e, ModelError::Persist { .. }), "{e}");
+            assert!(e.to_string().contains("non-finite"), "{e}");
+        }
+
+        // Trailing bytes, inside the section and after the container.
+        let mut long = section.clone();
+        long.push(0);
+        let e = ProximityModel::from_bytes(&reseal(&long)).unwrap_err();
+        assert!(e.to_string().contains("trailing"), "{e}");
+        let mut long = good.clone();
+        long.push(0);
+        let e = ProximityModel::from_bytes(&long).unwrap_err();
+        assert!(e.to_string().contains("trailing"), "{e}");
+
+        // The retired text-era container is named, not just refused.
+        let mut old = good.clone();
+        old[..8].copy_from_slice(b"PXMSTOR1");
+        assert_eq!(
+            decode_container(&old).unwrap_err(),
+            ContainerError::Unsupported {
+                format: "PXMSTOR1".into()
+            }
+        );
+        assert_eq!(
+            decode_container(b"{\"cell\":").unwrap_err(),
+            ContainerError::BadMagic
+        );
+    }
+
+    #[test]
+    fn atomic_write_temp_files_are_recognised() {
+        assert_eq!(atomic_write_target(".m.pxm.tmp.123.0"), Some("m.pxm"));
+        assert_eq!(atomic_write_target(".a.json.tmp.9.17"), Some("a.json"));
+        for not_temp in [
+            "m.pxm",
+            ".m.pxm",
+            ".m.pxm.tmp.",
+            ".m.pxm.tmp.1",
+            ".x.tmp.a.1",
+        ] {
+            assert_eq!(atomic_write_target(not_temp), None, "{not_temp}");
+        }
     }
 
     #[test]
@@ -632,8 +1003,7 @@ mod tests {
 
         // The entry was replaced with a loadable model, and the corrupt
         // bytes were moved aside rather than destroyed.
-        let json = read_entry_text(&path).unwrap();
-        assert!(ProximityModel::from_json(&json).is_ok());
+        assert!(ProximityModel::from_bytes(&std::fs::read(&path).unwrap()).is_ok());
         let quarantined = cache.quarantined_path(key, fnv1a_64(b"{definitely not a model"));
         assert_eq!(
             std::fs::read_to_string(&quarantined).unwrap(),
@@ -693,14 +1063,16 @@ mod tests {
         let mut stats = CharStats::default();
         cache.characterize(&cell, &tech, &opts, &mut stats).unwrap();
 
-        // Simulate a torn write: the envelope header survives but the
-        // payload is cut short. The JSON prefix may even still parse as
-        // *invalid* JSON — the checksum is what catches it.
+        // Simulate a torn write: the container header survives but the
+        // payload is cut short.
         let key = ModelCache::key(&cell, &tech, &opts).unwrap();
         let path = cache.entry_path(key);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(read_entry_text(&path).is_err(), "torn entry must not load");
+        assert!(
+            ProximityModel::from_bytes(&std::fs::read(&path).unwrap()).is_err(),
+            "torn entry must not load"
+        );
 
         let torn: Vec<u8> = bytes[..bytes.len() / 2].to_vec();
         let mut stats = CharStats::default();
@@ -717,35 +1089,40 @@ mod tests {
         // Two writers hammer the same entry path with *different* complete
         // payloads while a reader polls it. The atomic-rename path must
         // guarantee every successful read is one of the complete payloads —
-        // interleaved or truncated JSON would fail the envelope checksum
+        // interleaved or truncated bytes would fail the section checksum
         // (and this assertion).
         let dir = std::env::temp_dir().join(format!("proxim_cache_race_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("entry.json");
+        let path = dir.join("entry.pxm");
 
-        let payload_a = format!("{{\"who\":\"a\",\"pad\":\"{}\"}}", "a".repeat(256 * 1024));
-        let payload_b = format!("{{\"who\":\"b\",\"pad\":\"{}\"}}", "b".repeat(256 * 1024));
-        write_entry_text(&path, &payload_a).unwrap();
+        let payload_a = vec![b'a'; 256 * 1024];
+        let payload_b = vec![b'b'; 256 * 1024];
+        let entry = |payload: &[u8]| encode_container(&[(SECTION_MODEL, payload)]);
+        atomic_write(&path, &entry(&payload_a)).unwrap();
 
         const ROUNDS: usize = 40;
         std::thread::scope(|scope| {
             for payload in [&payload_a, &payload_b] {
-                let path = &path;
+                let (path, bytes) = (&path, entry(payload));
                 scope.spawn(move || {
                     for _ in 0..ROUNDS {
-                        write_entry_text(path, payload).unwrap();
+                        atomic_write(path, &bytes).unwrap();
                     }
                 });
             }
-            let reads: Vec<String> = (0..ROUNDS * 4)
-                .map(|_| read_entry_text(&path).expect("entry must never be torn mid-write"))
+            let reads: Vec<Vec<u8>> = (0..ROUNDS * 4)
+                .map(|_| {
+                    let bytes = std::fs::read(&path).unwrap();
+                    let sections = decode_container(&bytes).expect("entry must never be torn");
+                    section(&sections, SECTION_MODEL).unwrap().to_vec()
+                })
                 .collect();
-            for text in reads {
+            for payload in reads {
                 assert!(
-                    text == payload_a || text == payload_b,
+                    payload == payload_a || payload == payload_b,
                     "read neither complete payload (len {})",
-                    text.len()
+                    payload.len()
                 );
             }
         });
@@ -770,6 +1147,45 @@ mod tests {
 
         // Wiping a nonexistent root is fine.
         ModelCache::new("/nonexistent/proxim/cache").wipe().unwrap();
+
+        std::fs::remove_dir_all(cache.root()).ok();
+    }
+
+    #[test]
+    fn wipe_removes_entries_leftovers_and_temp_debris_only() {
+        let tech = Technology::demo_5v();
+        let cell = Cell::inv();
+        let opts = CharacterizeOptions::fast();
+        let cache = fresh_cache("proxim_cache_test_wipe_debris");
+        let mut stats = CharStats::default();
+        cache.characterize(&cell, &tech, &opts, &mut stats).unwrap();
+        let live = cache.entry_path(ModelCache::key(&cell, &tech, &opts).unwrap());
+
+        // What a killed writer and an older build leave behind.
+        let debris = [
+            ".00000000000000aa.json.tmp.4242.7",
+            ".00000000000000bb.pxm.tmp.4242.8",
+            "00000000000000cc.json",
+            "00000000000000dd.pxm.00000000000000ee.quarantined",
+        ];
+        let foreign = ["README", ".hidden", "notes.tmp.1.2"];
+        for file in debris.iter().chain(&foreign) {
+            std::fs::write(cache.root().join(file), b"x").unwrap();
+        }
+        cache.wipe().unwrap();
+        assert!(!live.exists(), "the live entry is wiped");
+        for file in debris {
+            assert!(
+                !cache.root().join(file).exists(),
+                "{file} survived the wipe"
+            );
+        }
+        for file in foreign {
+            assert!(
+                cache.root().join(file).exists(),
+                "{file} is not the cache's"
+            );
+        }
 
         std::fs::remove_dir_all(cache.root()).ok();
     }

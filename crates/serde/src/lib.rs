@@ -383,7 +383,13 @@ fn value_to_array<E: Error>(v: Value) -> Result<Vec<Value>, E> {
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let items = value_to_array::<D::Error>(deserializer.take_value()?)?;
-        items.into_iter().map(from_value::<T, D::Error>).collect()
+        // Sized up front: collecting through `Result` would grow the
+        // vector by doubling, since its size hint starts at zero.
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            out.push(from_value::<T, D::Error>(item)?);
+        }
+        Ok(out)
     }
 }
 

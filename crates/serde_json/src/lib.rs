@@ -10,9 +10,14 @@
 //! `1.0`); the numeric `Deserialize` impls coerce integers back into float
 //! fields, so round-trips are lossless. Non-finite floats are a
 //! serialization error, as in real serde_json.
+//!
+//! [`binary`] renders the same tree without text: the parse-free form the
+//! model containers store.
 
 use serde::{DeserializeOwned, Serialize, Value};
 use std::fmt;
+
+pub mod binary;
 
 /// Serialization or parse failure.
 pub struct Error {
@@ -181,10 +186,10 @@ fn write_value_pretty(out: &mut String, v: &Value, indent: usize) -> Result<(), 
 // Parser
 // ---------------------------------------------------------------------------
 
-/// Maximum container nesting the parser accepts. [`Parser::parse_value`]
-/// recurses per `[`/`{`, so unbounded depth lets a few kilobytes of
-/// `[[[[…` overflow the thread stack; honest model files nest a handful
-/// of levels.
+/// Maximum container nesting the parser (and the [`binary`] decoder)
+/// accepts. [`Parser::parse_value`] recurses per `[`/`{`, so unbounded
+/// depth lets a few kilobytes of `[[[[…` overflow the thread stack; honest
+/// model files nest a handful of levels.
 const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {

@@ -2,27 +2,33 @@
 //!
 //! A served library must load fast and fail *loud*: a torn or bit-rotted
 //! entry has to be detected before a single query is answered from it.
-//! Each entry is one `<name>.pxm` file — a sectioned binary container in
-//! which every section carries its own length and FNV-1a checksum
-//! envelope:
+//! Each entry is one `<name>.pxm` file in the workspace's one model
+//! container (`PXMSTOR2`, defined in [`proxim_model::persist`]): sections
+//! that each carry their own length and FNV-1a checksum envelope.
 //!
-//! ```text
-//! magic  "PXMSTOR1"                     8 bytes
-//! u32    section count                  little-endian
-//! per section:
-//!   u32  section id                     (1 = meta, 2 = model)
-//!   u64  payload length in bytes
-//!   u64  FNV-1a 64 of the payload
-//!   [u8] payload
-//! ```
+//! An entry has two sections:
 //!
-//! The *meta* section is a small JSON object (`name`, `format`, cell input
-//! count) that can be read without decoding the model; the *model* section
-//! is the model's canonical JSON, revalidated on load through
-//! [`ProximityModel::from_json`] (size cap, non-finite rejection,
-//! structural `validate()`). The checksummed framing detects torn and
-//! corrupt files before the payload parser ever runs; the JSON payload
-//! keeps the bytes debuggable and reuses the hardened model codec.
+//! - *meta* (id 1), fixed little-endian binary fields that can be read
+//!   without decoding the model:
+//!
+//!   ```text
+//!   u32  store format (2)
+//!   u32  cell input count
+//!   u32  name length, then the name bytes
+//!   ```
+//!
+//! - *model* (id 2), the model's serde tree in the `serde_json::binary`
+//!   rendering, decoded by [`ProximityModel::from_section`] (nesting cap,
+//!   non-finite rejection, counts bounded by the bytes present, no
+//!   trailing bytes, then the structural `validate()`).
+//!
+//! A cold load is therefore read → checksum → binary decode → validate,
+//! with no text parsing anywhere; the checksummed framing detects torn and
+//! corrupt files before the payload decoder ever runs. Entries written by
+//! older builds (`PXMSTOR1`, whose model section was JSON) fail with a
+//! typed [`StoreError::Unsupported`] naming their format and are
+//! quarantined like any other bad entry. `proxim_serve export` prints an
+//! entry's canonical JSON when the bytes need reading by a person.
 //!
 //! Writes go through the crash-consistent
 //! [`atomic_write`](proxim_model::persist::atomic_write) path (same-dir
@@ -35,30 +41,22 @@
 //! and the rest of the library keeps serving.
 
 use crate::diskfault::{self, DiskError, DiskFaultKind};
-use proxim_model::persist::{fnv1a_64, MAX_MODEL_JSON_BYTES};
+use proxim_model::persist::{
+    atomic_write_target, decode_container, encode_container, fnv1a_64, section, ContainerError,
+    CONTAINER_EXT, SECTION_META, SECTION_MODEL,
+};
 use proxim_model::{ModelError, ProximityModel};
-use proxim_obs::json::{push_escaped, Json};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// First bytes of every store entry.
-pub const STORE_MAGIC: &[u8; 8] = b"PXMSTOR1";
-
-/// Section id of the metadata section.
-pub const SECTION_META: u32 = 1;
-/// Section id of the model-payload section.
-pub const SECTION_MODEL: u32 = 2;
-
-/// Upper bound on sections per entry; ours have exactly two, and a hostile
-/// header must not be able to request millions.
-const MAX_SECTIONS: u32 = 16;
+pub use proxim_model::persist::CONTAINER_MAGIC as STORE_MAGIC;
 
 /// Store format version, recorded in the meta section.
-const STORE_FORMAT: u32 = 1;
+const STORE_FORMAT: u32 = 2;
 
 /// File extension of a live store entry.
-pub const ENTRY_EXT: &str = "pxm";
+pub const ENTRY_EXT: &str = CONTAINER_EXT;
 
 /// What went wrong while reading or writing a store entry.
 ///
@@ -85,6 +83,12 @@ pub enum StoreError {
     },
     /// The file does not start with [`STORE_MAGIC`].
     BadMagic,
+    /// The file is a model container of another generation (a `PXMSTOR1`
+    /// entry from an older build): there is no reader for it.
+    Unsupported {
+        /// The container magic found, e.g. `PXMSTOR1`.
+        format: String,
+    },
     /// The file ended before the advertised structure did — the signature
     /// of a torn write (which the atomic path prevents) or truncation at
     /// rest.
@@ -99,13 +103,13 @@ pub enum StoreError {
     },
     /// The container structure is inconsistent (unknown section layout,
     /// oversized advertisement, duplicate or missing sections, meta that
-    /// does not parse).
+    /// does not decode or disagrees with the model).
     Malformed {
         /// What was inconsistent.
         detail: String,
     },
-    /// The model payload decoded but failed the model codec's own gates
-    /// (size cap, JSON syntax, non-finite entries, structural validation).
+    /// The model section failed the model codec's own gates (binary
+    /// decode limits, non-finite entries, structural validation).
     Model(ModelError),
 }
 
@@ -119,6 +123,11 @@ impl fmt::Display for StoreError {
                 "unstorable model name {name:?} (want 1-64 chars of [A-Za-z0-9_-])"
             ),
             Self::BadMagic => write!(f, "not a proxim model store entry (bad magic)"),
+            Self::Unsupported { format } => write!(
+                f,
+                "store entry is in unsupported format {format} (this build reads {})",
+                String::from_utf8_lossy(STORE_MAGIC)
+            ),
             Self::Truncated { detail } => write!(f, "store entry truncated: {detail}"),
             Self::Checksum { section } => {
                 write!(f, "store entry section {section} failed its checksum")
@@ -141,6 +150,18 @@ impl std::error::Error for StoreError {
 impl From<ModelError> for StoreError {
     fn from(e: ModelError) -> Self {
         Self::Model(e)
+    }
+}
+
+impl From<ContainerError> for StoreError {
+    fn from(e: ContainerError) -> Self {
+        match e {
+            ContainerError::BadMagic => Self::BadMagic,
+            ContainerError::Unsupported { format } => Self::Unsupported { format },
+            ContainerError::Truncated { detail } => Self::Truncated { detail },
+            ContainerError::Checksum { section } => Self::Checksum { section },
+            ContainerError::Malformed { detail } => Self::Malformed { detail },
+        }
     }
 }
 
@@ -170,7 +191,47 @@ pub fn valid_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
 }
 
-/// Serializes one `(name, model)` pair into the sectioned container.
+/// The meta section: store format, cell input count, and the name.
+fn encode_meta(name: &str, inputs: usize) -> Vec<u8> {
+    let mut meta = Vec::with_capacity(12 + name.len());
+    meta.extend_from_slice(&STORE_FORMAT.to_le_bytes());
+    meta.extend_from_slice(&(inputs as u32).to_le_bytes());
+    meta.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    meta.extend_from_slice(name.as_bytes());
+    meta
+}
+
+/// Decodes the meta section into `(name, input count)`.
+fn decode_meta(meta: &[u8]) -> Result<(&str, usize), StoreError> {
+    let malformed = |detail: String| StoreError::Malformed { detail };
+    let field = |i: usize| {
+        meta.get(4 * i..4 * i + 4).map(|b| {
+            let mut w = [0u8; 4];
+            w.copy_from_slice(b);
+            u32::from_le_bytes(w)
+        })
+    };
+    let (Some(format), Some(inputs), Some(name_len)) = (field(0), field(1), field(2)) else {
+        return Err(malformed(format!("meta section is {} bytes", meta.len())));
+    };
+    if format != STORE_FORMAT {
+        return Err(malformed(format!(
+            "meta records store format {format}, expected {STORE_FORMAT}"
+        )));
+    }
+    if meta.len() - 12 != name_len as usize {
+        return Err(malformed(format!(
+            "meta name length {name_len} does not match its {} bytes",
+            meta.len() - 12
+        )));
+    }
+    let name =
+        std::str::from_utf8(&meta[12..]).map_err(|_| malformed("meta name is not UTF-8".into()))?;
+    Ok((name, inputs as usize))
+}
+
+/// Serializes one `(name, model)` pair into a store entry: a model
+/// container with a meta and a model section.
 ///
 /// # Errors
 ///
@@ -180,140 +241,35 @@ pub fn encode_entry(name: &str, model: &ProximityModel) -> Result<Vec<u8>, Store
     if !valid_name(name) {
         return Err(StoreError::BadName { name: name.into() });
     }
-    let mut meta = String::from("{\"format\":");
-    meta.push_str(&STORE_FORMAT.to_string());
-    meta.push_str(",\"name\":");
-    push_escaped(&mut meta, name);
-    meta.push_str(",\"inputs\":");
-    meta.push_str(&model.cell().input_count().to_string());
-    meta.push('}');
-    let model_json = model.to_json()?;
-
-    let mut out = Vec::with_capacity(meta.len() + model_json.len() + 64);
-    out.extend_from_slice(STORE_MAGIC);
-    out.extend_from_slice(&2u32.to_le_bytes());
-    for (id, payload) in [
-        (SECTION_META, meta.as_bytes()),
-        (SECTION_MODEL, model_json.as_bytes()),
-    ] {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    Ok(out)
-}
-
-fn take<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    n: usize,
-    what: &str,
-) -> Result<&'a [u8], StoreError> {
-    let end = pos
-        .checked_add(n)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(StoreError::Truncated {
-            detail: format!("{what} needs {n} more bytes"),
-        })?;
-    let slice = &bytes[*pos..end];
-    *pos = end;
-    Ok(slice)
-}
-
-fn le_u32(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u32, StoreError> {
-    let b = take(bytes, pos, 4, what)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-fn le_u64(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64, StoreError> {
-    let b = take(bytes, pos, 8, what)?;
-    Ok(u64::from_le_bytes([
-        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+    let meta = encode_meta(name, model.cell().input_count());
+    Ok(encode_container(&[
+        (SECTION_META, &meta),
+        (SECTION_MODEL, &model.to_section()?),
     ]))
 }
 
-/// Decodes a container produced by [`encode_entry`], verifying every
-/// section envelope and revalidating the model payload.
+/// Decodes a store entry produced by [`encode_entry`], verifying every
+/// section envelope, the meta fields, and the model section.
 ///
 /// # Errors
 ///
 /// A typed [`StoreError`] for every way the bytes can be wrong; callers
 /// quarantine on any of them.
 pub fn decode_entry(bytes: &[u8]) -> Result<(String, ProximityModel), StoreError> {
-    let mut pos = 0usize;
-    if take(bytes, &mut pos, STORE_MAGIC.len(), "magic").ok() != Some(&STORE_MAGIC[..]) {
-        return Err(StoreError::BadMagic);
-    }
-    let count = le_u32(bytes, &mut pos, "section count")?;
-    if count == 0 || count > MAX_SECTIONS {
-        return Err(StoreError::Malformed {
-            detail: format!("section count {count} outside 1..={MAX_SECTIONS}"),
-        });
-    }
-    let mut meta: Option<&[u8]> = None;
-    let mut model: Option<&[u8]> = None;
-    for _ in 0..count {
-        let id = le_u32(bytes, &mut pos, "section id")?;
-        let len = le_u64(bytes, &mut pos, "section length")?;
-        if len > MAX_MODEL_JSON_BYTES as u64 {
-            return Err(StoreError::Malformed {
-                detail: format!("section {id} advertises {len} bytes, over the payload cap"),
-            });
-        }
-        let sum = le_u64(bytes, &mut pos, "section checksum")?;
-        let payload = take(bytes, &mut pos, len as usize, "section payload")?;
-        if fnv1a_64(payload) != sum {
-            return Err(StoreError::Checksum { section: id });
-        }
-        // Unknown section ids are skipped once their checksum passes —
-        // room for forward-compatible additions without a format bump.
-        match id {
-            SECTION_META if meta.is_none() => meta = Some(payload),
-            SECTION_MODEL if model.is_none() => model = Some(payload),
-            SECTION_META | SECTION_MODEL => {
-                return Err(StoreError::Malformed {
-                    detail: format!("duplicate section {id}"),
-                })
-            }
-            _ => {}
-        }
-    }
-    if pos != bytes.len() {
-        return Err(StoreError::Malformed {
-            detail: format!(
-                "{} trailing bytes after the last section",
-                bytes.len() - pos
-            ),
-        });
-    }
-    let meta = meta.ok_or(StoreError::Malformed {
-        detail: "missing meta section".into(),
-    })?;
-    let model = model.ok_or(StoreError::Malformed {
-        detail: "missing model section".into(),
-    })?;
-
-    let meta_text = std::str::from_utf8(meta).map_err(|_| StoreError::Malformed {
-        detail: "meta section is not UTF-8".into(),
-    })?;
-    let meta_json = Json::parse(meta_text).map_err(|e| StoreError::Malformed {
-        detail: format!("meta section does not parse: {e}"),
-    })?;
-    let name = meta_json
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or(StoreError::Malformed {
-            detail: "meta section has no name".into(),
-        })?;
+    let sections = decode_container(bytes)?;
+    let (name, inputs) = decode_meta(section(&sections, SECTION_META)?)?;
     if !valid_name(name) {
         return Err(StoreError::BadName { name: name.into() });
     }
-
-    let model_text = std::str::from_utf8(model).map_err(|_| StoreError::Malformed {
-        detail: "model section is not UTF-8".into(),
-    })?;
-    let model = ProximityModel::from_json(model_text)?;
+    let model = ProximityModel::from_section(section(&sections, SECTION_MODEL)?)?;
+    if model.cell().input_count() != inputs {
+        return Err(StoreError::Malformed {
+            detail: format!(
+                "meta records {inputs} inputs, the model's cell has {}",
+                model.cell().input_count()
+            ),
+        });
+    }
     Ok((name.to_owned(), model))
 }
 
@@ -464,8 +420,7 @@ impl ModelStore {
             let Some(file) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            if file.starts_with('.')
-                && file.contains(&format!(".{ENTRY_EXT}.tmp."))
+            if atomic_write_target(file).is_some_and(|t| t.ends_with(&format!(".{ENTRY_EXT}")))
                 && fs::remove_file(&path).is_ok()
             {
                 reclaimed += 1;
@@ -595,6 +550,73 @@ pub(crate) mod tests {
             decode_entry(&bad).unwrap_err(),
             StoreError::Malformed { .. }
         ));
+
+        // Truncation at every byte offset, not just the boundaries.
+        for cut in 0..good.len() {
+            assert!(decode_entry(&good[..cut]).is_err(), "cut at {cut}");
+        }
+
+        // Hostile model sections behind valid checksums, so the binary
+        // decoder itself is what refuses them.
+        let resealed = |model_section: &[u8]| {
+            encode_container(&[
+                (SECTION_META, &encode_meta("m", 1)),
+                (SECTION_MODEL, model_section),
+            ])
+        };
+        let section_of = |tag: u8, count: u32, rest: &[u8]| {
+            let mut b = vec![tag];
+            b.extend_from_slice(&count.to_le_bytes());
+            b.extend_from_slice(rest);
+            b
+        };
+        let floats = |xs: &[f64]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        let mut bomb = Vec::new();
+        for _ in 0..100_000 {
+            bomb.extend_from_slice(&section_of(7, 1, &[]));
+        }
+        bomb.push(0);
+        let model_section = shared_model().to_section().unwrap();
+        let mut trailing = model_section.clone();
+        trailing.push(0);
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("u32::MAX array count", section_of(7, u32::MAX, &[0; 64])),
+            ("u32::MAX run length", section_of(9, u32::MAX, &[0; 64])),
+            (
+                "NaN in a run",
+                section_of(9, 3, &floats(&[1.0, f64::NAN, 2.0])),
+            ),
+            (
+                "+Inf in a run",
+                section_of(9, 2, &floats(&[f64::INFINITY, 2.0])),
+            ),
+            (
+                "-Inf in a run",
+                section_of(9, 2, &floats(&[1.0, f64::NEG_INFINITY])),
+            ),
+            ("100 000-deep nesting", bomb),
+            ("trailing bytes", trailing),
+        ];
+        assert!(decode_entry(&resealed(&model_section)).is_ok());
+        for (what, model_section) in hostile {
+            let e = decode_entry(&resealed(&model_section)).unwrap_err();
+            assert!(
+                matches!(e, StoreError::Model(ModelError::Persist { .. })),
+                "{what}: {e}"
+            );
+        }
+
+        // A previous-generation entry is refused by name, not as garbage.
+        let mut old = good.clone();
+        old[..8].copy_from_slice(b"PXMSTOR1");
+        let e = decode_entry(&old).unwrap_err();
+        assert_eq!(
+            e,
+            StoreError::Unsupported {
+                format: "PXMSTOR1".into()
+            }
+        );
+        assert!(e.to_string().contains("PXMSTOR1"), "{e}");
 
         fs::remove_dir_all(store.root()).ok();
     }

@@ -37,6 +37,11 @@
 //!   layer. With `--socket PATH --queries N` it instead runs a closed
 //!   query loop against a live daemon, round-robining the served model
 //!   set — the CI eviction-churn smoke.
+//! - `export --store DIR --name NAME` — load one store entry (checksums,
+//!   binary decode, validation: the daemon's own load path) and print the
+//!   model's canonical JSON, the same text `ProximityModel::to_json`
+//!   writes. The store holds binary containers; this is how a person
+//!   reads one. Exit `0` on success, `1` on a missing or corrupt entry.
 //! - `obs --socket PATH [...]` — introspect or reconfigure a live
 //!   daemon's observability plane: flip the trace level or sampling knobs
 //!   at runtime, fetch the flight-recorder dump to a file, or scrape and
@@ -113,7 +118,8 @@ fn usage() -> ExitCode {
          proxim_serve obs --socket PATH [--level off|metrics|trace] [--sample-every N]\n    \
          [--slow-ms N] [--dump PATH] [--prom]\n  \
          proxim_serve churn --store DIR --name NAME --rounds N\n  \
-         proxim_serve churn --socket PATH --queries N"
+         proxim_serve churn --socket PATH --queries N\n  \
+         proxim_serve export --store DIR --name NAME"
     );
     ExitCode::from(1)
 }
@@ -607,6 +613,35 @@ fn cmd_churn(args: &mut std::env::Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn cmd_export(args: &mut std::env::Args) -> ExitCode {
+    let mut store_dir: Option<PathBuf> = None;
+    let mut name: Option<String> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--store" => store_dir = args.next().map(Into::into),
+            "--name" => name = args.next(),
+            _ => return usage(),
+        }
+    }
+    let (Some(store_dir), Some(name)) = (store_dir, name) else {
+        return usage();
+    };
+    let exported = ModelStore::new(store_dir)
+        .load(&name)
+        .map_err(|e| e.to_string())
+        .and_then(|m| m.to_json().map_err(|e| e.to_string()));
+    match exported {
+        Ok(json) => {
+            println!("{json}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("proxim_serve: export {name}: {e}");
+            ExitCode::from(1)
+        }
+    }
+}
+
 fn main() -> ExitCode {
     // Observability arms before anything else runs: PROXIM_TRACE installs
     // the JSONL sink, PROXIM_FLIGHT enables the ring and arms the
@@ -631,6 +666,7 @@ fn main() -> ExitCode {
         Some("query") => cmd_query(&mut args),
         Some("obs") => cmd_obs(&mut args),
         Some("churn") => cmd_churn(&mut args),
+        Some("export") => cmd_export(&mut args),
         _ => usage(),
     }
 }

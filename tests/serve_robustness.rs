@@ -405,6 +405,44 @@ fn corrupt_store_entries_quarantine_and_the_daemon_starts_degraded() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn export_prints_the_canonical_json_of_a_stored_model() {
+    let dir = scratch_dir("export");
+    let store = ModelStore::new(dir.join("store"));
+    store.save("inv", shared_model()).expect("seed store");
+    let export = |name: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_proxim_serve"))
+            .arg("export")
+            .arg("--store")
+            .arg(store.root())
+            .args(["--name", name])
+            .output()
+            .expect("run export")
+    };
+
+    let out = export("inv");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).expect("UTF-8 export");
+    let json = text.strip_suffix('\n').expect("newline-terminated");
+    let expected = shared_model().to_json().expect("to_json");
+    assert_eq!(json, expected, "export is the model's canonical JSON");
+    let back = ProximityModel::from_json(json).expect("export parses back");
+    assert_eq!(back.to_json().expect("to_json"), expected);
+
+    // An entry from an older build exports nothing, fails, and says why.
+    std::fs::write(store.entry_path("old"), b"PXMSTOR1 old entry").expect("write");
+    let out = export("old");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("PXMSTOR1"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Fault-injected paths (wire tears, slow reads, degraded models)
 // ---------------------------------------------------------------------------
